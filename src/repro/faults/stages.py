@@ -21,8 +21,8 @@ harness (:mod:`repro.eval.chaos`).
 
 The stages are thin wrappers over pure, chunk-invariant helpers
 (:func:`apply_event_faults`, :class:`VectorOverflowModel`) that the
-per-event reference loop in :meth:`repro.soc.rtad.RtadSoc` reuses
-directly, so ``dataplane="batched"`` and ``dataplane="loop"`` inject
+per-event reference loop, :meth:`repro.soc.loop.LoopDataplane.run`,
+reuses directly, so ``dataplane="batched"`` and ``dataplane="loop"`` inject
 the identical fault pattern for the same :class:`FaultPlan`.
 """
 

@@ -80,7 +80,11 @@ from repro.fleet.transport import (
 )
 from repro.mcm.mcm import InferenceRecord
 from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.soc.manager import Deployment, TenantHealth
+from repro.soc.manager import (
+    Deployment,
+    TenantHealth,
+    refuse_unknown_tenants,
+)
 from repro.workloads.cfg import BranchEvent
 
 #: Canonical coordinator-side counters (0 when nothing fired).
@@ -1036,9 +1040,7 @@ class FleetCoordinator:
         """
         if self._closed:
             raise FleetError("the fleet has been closed")
-        unknown = set(traces) - set(self._facades)
-        if unknown:
-            raise SocConfigError(f"unknown tenants {sorted(unknown)}")
+        refuse_unknown_tenants(traces, self._facades)
         round_index = self._round
         self._round += 1
         self._count("fleet.rounds")

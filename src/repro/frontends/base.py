@@ -53,9 +53,9 @@ class TraceDriver(Protocol):
     The session lifecycle is explicit: a freshly created driver is
     *disabled* and refuses to trace; ``enable`` powers up a fresh
     encoder + link framer, ``disable`` tears them down.  Callers that
-    own sessions (:class:`repro.soc.cpu.HostCpu`,
-    :class:`repro.soc.loop.LoopDataplane`) enable at session start, so
-    a frontend is never traced before the session begins.
+    own sessions (:class:`repro.soc.loop.LoopDataplane`) enable at
+    session start, so a frontend is never traced before the session
+    begins.
     """
 
     enabled: bool

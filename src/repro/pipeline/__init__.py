@@ -1,7 +1,7 @@
 """Staged dataplane: the batched trace-path pipeline.
 
-The per-event loop in :meth:`repro.soc.rtad.RtadSoc.run_events` is
-re-expressed here as composable *stages* connected by bounded *ports*:
+The per-event reference loop, :meth:`repro.soc.loop.LoopDataplane.run`,
+is re-expressed here as composable *stages* connected by bounded *ports*:
 
 - :class:`~repro.pipeline.stage.Stage` — the protocol every stage
   implements (``process(batch) -> batch`` plus ``flush()``),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.coresight.ptm import PtmConfig
 from repro.errors import SocConfigError
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import InputVector, VectorEncoder
@@ -27,7 +26,6 @@ from repro.pipeline.stages import (
     IgmStage,
     PtmFifoStage,
 )
-from repro.soc.clocks import RTAD_CLOCK, ClockDomain
 from repro.workloads.cfg import BranchEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -217,10 +215,6 @@ def build_trace_pipeline(
     encoder: VectorEncoder,
     sink: Callable[[InputVector, float], None],
     *,
-    ptm_config: Optional[PtmConfig] = None,
-    tpiu_sync_period: int = 64,
-    fifo_threshold_bytes: int = 176,
-    port_clock: ClockDomain = RTAD_CLOCK,
     igm_pipe_ns: float = 24.0,
     metrics: Optional[MetricsRegistry] = None,
     chunk_events: int = DEFAULT_CHUNK_EVENTS,
@@ -231,13 +225,12 @@ def build_trace_pipeline(
 ) -> Pipeline:
     """Assemble the standard five-stage trace dataplane.
 
-    Mirrors the wiring of :class:`repro.soc.rtad.RtadSoc`: the
-    frontend's encode + framing stages (CoreSight PTM/TPIU by
-    default), PTM-FIFO batching, address map + vector encode, and
-    delivery into ``sink`` (usually ``Mcm.push``).  ``frontend``
-    selects the trace grammar; the legacy ``ptm_config`` /
-    ``tpiu_sync_period`` knobs configure the default CoreSight
-    frontend and must not be combined with an explicit one.
+    The batched twin of the per-event reference
+    :meth:`repro.soc.loop.LoopDataplane.run`: the frontend's encode +
+    framing stages (CoreSight PTM/TPIU by default), PTM-FIFO batching,
+    address map + vector encode, and delivery into ``sink`` (usually
+    ``Mcm.push``).  ``frontend`` selects the trace grammar; grammar
+    configuration (e.g. a ``PtmConfig``) travels inside it.
 
     ``fault_plan`` optionally inserts fault-injection stages: an
     event-level injector ahead of the encode stages and a
@@ -249,20 +242,10 @@ def build_trace_pipeline(
         # Deferred import: repro.frontends late-binds its builtins.
         from repro.frontends.coresight import CoreSightFrontend
 
-        frontend = CoreSightFrontend(
-            ptm_config=ptm_config, sync_period=tpiu_sync_period
-        )
-    elif ptm_config is not None:
-        raise SocConfigError(
-            "pass ptm_config through the frontend, not alongside it"
-        )
+        frontend = CoreSightFrontend()
     stages: List[Stage] = [
         *frontend.build_encode_stages(metrics=metrics),
-        PtmFifoStage(
-            threshold_bytes=fifo_threshold_bytes,
-            port_clock=port_clock,
-            metrics=metrics,
-        ),
+        PtmFifoStage(metrics=metrics),
         IgmStage(mapper, encoder, metrics=metrics),
         DeliverStage(sink, igm_pipe_ns=igm_pipe_ns, metrics=metrics),
     ]

@@ -1,5 +1,4 @@
-"""Host-CPU side of the trace path: the PTM output FIFO and a
-convenience wrapper that runs a workload through CoreSight.
+"""Host-CPU side of the trace path: the PTM output FIFO.
 
 Fig. 7's analysis attributes most of RTAD's residual latency to step
 (1): "PTM does not send the packets until enough packets are buffered
@@ -13,16 +12,11 @@ retired.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import SocConfigError
 from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.soc.clocks import CPU_CLOCK, RTAD_CLOCK, ClockDomain
-from repro.workloads.cfg import BranchEvent
-from repro.workloads.program import SyntheticProgram
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.frontends.base import TraceDriver, TraceFrontend
+from repro.soc.clocks import RTAD_CLOCK, ClockDomain
 
 
 @dataclass
@@ -110,97 +104,3 @@ class PtmFifoModel:
         fill_ns = self.threshold_bytes / byte_rate_per_ns
         drain_ns = self.port_clock.to_ns((self.threshold_bytes + 3) // 4)
         return fill_ns / 2.0 + drain_ns
-
-
-@dataclass(frozen=True)
-class TimedTraceByte:
-    """Bytes leaving the CPU trace port with their departure time."""
-
-    depart_ns: float
-    data: bytes
-
-
-class HostCpu:
-    """The host CPU: workload + trace emission through a frontend.
-
-    The trace grammar is pluggable: ``frontend`` selects which
-    :class:`~repro.frontends.base.TraceFrontend` builds the encoder
-    driver (ARM CoreSight PTM/TPIU by default).  The driver follows an
-    explicit session lifecycle — it is created *disabled* and powered
-    up by :meth:`begin_session`, so no trace bytes exist before a
-    session starts (the old constructor-time ``enable()`` leaked the
-    encoder's lazy sync burst into the pre-session stream).
-    """
-
-    def __init__(
-        self,
-        program: SyntheticProgram,
-        ptm_fifo: Optional[PtmFifoModel] = None,
-        clock: ClockDomain = CPU_CLOCK,
-        metrics: Optional[MetricsRegistry] = None,
-        frontend: Optional["TraceFrontend"] = None,
-    ) -> None:
-        self.program = program
-        self.clock = clock
-        self.metrics = metrics or NULL_REGISTRY
-        self.ptm_fifo = ptm_fifo or PtmFifoModel(metrics=self.metrics)
-        if frontend is None:
-            # Deferred import: repro.frontends late-binds its builtins.
-            from repro.frontends.coresight import CoreSightFrontend
-
-            frontend = CoreSightFrontend()
-        self.frontend = frontend
-        self.driver: "TraceDriver" = frontend.create_driver(
-            metrics=self.metrics
-        )
-
-    @property
-    def coresight(self) -> "TraceDriver":
-        """Back-compat alias for the frontend driver."""
-        return self.driver
-
-    # ------------------------------------------------------------------
-    # Session lifecycle
-    # ------------------------------------------------------------------
-
-    def begin_session(self) -> None:
-        """Power the trace path up with a fresh encoder context."""
-        if self.driver.enabled:
-            self.driver.disable()
-        self.driver.enable()
-
-    def end_session(self) -> None:
-        """Tear the trace path down (e.g. to reconfigure context IDs)."""
-        self.driver.disable()
-
-    def event_time_ns(self, event: BranchEvent) -> float:
-        return self.clock.to_ns(event.cycle)
-
-    def trace_events(
-        self, events: Iterable[BranchEvent]
-    ) -> List[TimedTraceByte]:
-        """Run events through the trace path with FIFO-batched departures."""
-        if not self.driver.enabled:
-            self.begin_session()
-        out: List[TimedTraceByte] = []
-        buffered = bytearray()
-        last_ns = 0.0
-        for event in events:
-            time_ns = self.event_time_ns(event)
-            last_ns = max(last_ns, time_ns)
-            chunk = self.driver.trace(event)
-            if not chunk:
-                continue
-            buffered += chunk
-            done = self.ptm_fifo.push(time_ns, len(chunk))
-            if done is not None:
-                out.append(TimedTraceByte(depart_ns=done, data=bytes(buffered)))
-                buffered.clear()
-        tail = self.driver.flush()
-        if tail:
-            buffered += tail
-            self.ptm_fifo.push(last_ns, len(tail))
-        done = self.ptm_fifo.flush(last_ns)
-        if done is not None and buffered:
-            out.append(TimedTraceByte(depart_ns=done, data=bytes(buffered)))
-        return out

@@ -1,13 +1,15 @@
-"""Per-event reference dataplane as a reusable tenant component.
+"""The per-event reference dataplane.
 
-:class:`LoopDataplane` packages the per-event trace path of
-:meth:`repro.soc.rtad.RtadSoc._run_events_loop` — CoreSight PTM/TPIU
-byte emission, PTM-FIFO batching, address map + vector encode, and
-timed delivery into a sink — behind the same ``run`` / ``reset`` /
-``export_state`` surface as the staged :class:`repro.pipeline.Pipeline`.
-That lets :class:`repro.soc.manager.TenantRuntime` host either
-implementation per tenant (``RtadConfig.dataplane``), and lets the
-crash-recovery harness assert replay equivalence on both.
+:meth:`LoopDataplane.run` is the one per-event model of the trace
+path — frontend byte emission (CoreSight PTM/TPIU by default),
+PTM-FIFO batching, address map + vector encode, and timed delivery
+into a sink — behind the same ``run`` / ``reset`` / ``export_state``
+surface as the staged :class:`repro.pipeline.Pipeline`.  It is the
+behavioural oracle the batched pipeline is checked against, and both
+:class:`repro.soc.rtad.RtadSoc` and
+:class:`repro.soc.manager.TenantRuntime` host it when
+``RtadConfig.dataplane`` is ``"loop"``, so the crash-recovery harness
+can assert replay equivalence on either implementation.
 
 Fault channels reuse the batched stages' pure helpers
 (:func:`repro.faults.stages.apply_event_faults`,
@@ -21,11 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.coresight.ptm import PtmConfig
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import InputVector, VectorEncoder
 from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.soc.clocks import CPU_CLOCK, RTAD_CLOCK, ClockDomain
+from repro.soc.clocks import CPU_CLOCK
 from repro.soc.cpu import PtmFifoModel
 from repro.workloads.cfg import BranchEvent
 
@@ -47,10 +48,6 @@ class LoopDataplane:
         encoder: VectorEncoder,
         sink: Callable[[InputVector, float], None],
         *,
-        ptm_config: Optional[PtmConfig] = None,
-        tpiu_sync_period: int = 64,
-        fifo_threshold_bytes: int = 176,
-        port_clock: ClockDomain = RTAD_CLOCK,
         igm_pipe_ns: float = 24.0,
         metrics: Optional[MetricsRegistry] = None,
         fault_plan: Optional["FaultPlan"] = None,
@@ -66,24 +63,14 @@ class LoopDataplane:
             # Deferred import: repro.frontends late-binds its builtins.
             from repro.frontends.coresight import CoreSightFrontend
 
-            frontend = CoreSightFrontend(
-                ptm_config=ptm_config, sync_period=tpiu_sync_period
-            )
-        elif ptm_config is not None:
-            raise ValueError(
-                "pass ptm_config through the frontend, not alongside it"
-            )
+            frontend = CoreSightFrontend()
         self.frontend = frontend
         # Created disabled; ``run`` powers it up at first use so no
         # trace bytes exist before the session starts.
         self.driver: "TraceDriver" = frontend.create_driver(
             metrics=self.metrics
         )
-        self.fifo = PtmFifoModel(
-            threshold_bytes=fifo_threshold_bytes,
-            port_clock=port_clock,
-            metrics=self.metrics,
-        )
+        self.fifo = PtmFifoModel(metrics=self.metrics)
         self._overflow: Optional["VectorOverflowModel"] = None
         if fault_plan is not None and not fault_plan.is_noop:
             from repro.faults.plan import FaultKind
@@ -114,11 +101,6 @@ class LoopDataplane:
         """
         overflow = self._overflow.dropped if self._overflow else 0
         return self._injected_drops + overflow
-
-    @property
-    def coresight(self) -> "TraceDriver":
-        """Back-compat alias for the frontend driver."""
-        return self.driver
 
     def reset(self) -> None:
         """New trace session: fresh encoder/link context, empty FIFO."""

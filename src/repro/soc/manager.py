@@ -34,7 +34,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.coresight.ptm import PtmConfig
 from repro.durability.journal import (
@@ -59,7 +67,7 @@ from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
 from repro.mcm.engines import ProtocolConverter
-from repro.mcm.mcm import InferenceRecord, Mcm, McmConfig
+from repro.mcm.mcm import InferenceRecord, Mcm
 from repro.ml.detector import ThresholdDetector
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.soc.rtad import RtadConfig
@@ -120,6 +128,20 @@ class Deployment:
     ptm_config: Optional[PtmConfig] = None
 
 
+def refuse_unknown_tenants(
+    traces: Mapping[str, object], known: Collection[str]
+) -> None:
+    """Raise SocConfigError naming every key of ``traces`` that is
+    not a known tenant name (non-``str`` keys included)."""
+    unknown = [
+        key for key in traces
+        if not isinstance(key, str) or key not in known
+    ]
+    if unknown:
+        # Sorted by repr: mixed key types do not order among themselves.
+        raise SocConfigError(f"unknown tenants {sorted(unknown, key=repr)}")
+
+
 class TenantRuntime:
     """Per-tenant dataplane + MCM lane (internal to SocManager)."""
 
@@ -147,13 +169,7 @@ class TenantRuntime:
             driver=deployment.driver,
             converter=deployment.converter,
             detector=deployment.detector,
-            config=McmConfig(
-                fifo_depth=config.fifo_depth,
-                score_smoothing=config.score_smoothing,
-                rtad_clock_hz=config.rtad_clock_hz,
-                gpu_clock_hz=config.gpu_clock_hz,
-                dual_run=config.dual_run,
-            ),
+            config=config.mcm_config(),
             metrics=metrics,
         )
         self.schedule: List[Tuple[InputVector, float]] = []
@@ -421,10 +437,9 @@ class SocManager:
         rather than silently ignored.  Quarantined tenants are skipped
         (their traces produce no vectors) until probation expires.
         """
-        known = {runtime.name for runtime in self.tenants}
-        unknown = set(traces) - known
-        if unknown:
-            raise SocConfigError(f"unknown tenants {sorted(unknown)}")
+        refuse_unknown_tenants(
+            traces, {runtime.name for runtime in self.tenants}
+        )
         journaling = self._journal is not None and not self._replaying
         if journaling:
             # Write-ahead: the round's inputs are durable before any

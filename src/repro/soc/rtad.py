@@ -16,21 +16,20 @@ Two run modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SocConfigError
 from repro.igm.address_mapper import AddressMapper
-from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
+from repro.igm.vector_encoder import EncoderMode, VectorEncoder
 from repro.mcm.driver import MlMiaowDriver
 from repro.mcm.engines import ProtocolConverter
 from repro.mcm.mcm import InferenceRecord, Mcm, McmConfig
 from repro.ml.detector import ThresholdDetector
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.soc.clocks import CPU_CLOCK
-from repro.soc.cpu import HostCpu
 from repro.soc.metrics import rtad_transfer_breakdown
 from repro.utils.rng import derive_seed, make_rng
 from repro.workloads.cfg import BranchEvent
@@ -38,7 +37,6 @@ from repro.workloads.program import SyntheticProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
-    from repro.faults.stages import VectorOverflowModel
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,16 @@ class RtadConfig:
                 f"(have: {', '.join(frontend_names())})"
             )
 
+    def mcm_config(self) -> McmConfig:
+        """The MCM settings this SoC configuration implies."""
+        return McmConfig(
+            fifo_depth=self.fifo_depth,
+            score_smoothing=self.score_smoothing,
+            rtad_clock_hz=self.rtad_clock_hz,
+            gpu_clock_hz=self.gpu_clock_hz,
+            dual_run=self.dual_run,
+        )
+
 
 @dataclass
 class AttackTrialResult:
@@ -137,13 +145,7 @@ class RtadSoc:
             driver=driver,
             converter=converter,
             detector=detector,
-            config=McmConfig(
-                fifo_depth=self.config.fifo_depth,
-                score_smoothing=self.config.score_smoothing,
-                rtad_clock_hz=self.config.rtad_clock_hz,
-                gpu_clock_hz=self.config.gpu_clock_hz,
-                dual_run=self.config.dual_run,
-            ),
+            config=self.config.mcm_config(),
             metrics=self.metrics,
         )
         # Imported here: repro.frontends late-binds its builtins, and
@@ -152,53 +154,35 @@ class RtadSoc:
         # __init__.
         from repro.frontends import make_frontend
         from repro.pipeline import build_trace_pipeline
+        from repro.soc.loop import LoopDataplane
 
         self.frontend = make_frontend(self.config.frontend)
-        self.host = HostCpu(
-            program, metrics=self.metrics, frontend=self.frontend
-        )
         self.pipeline = build_trace_pipeline(
             self.mapper,
             self.encoder,
             self.mcm.push,
             frontend=self.frontend,
-            fifo_threshold_bytes=self.host.ptm_fifo.threshold_bytes,
-            port_clock=self.host.ptm_fifo.port_clock,
             igm_pipe_ns=self.config.igm_pipe_ns,
             metrics=self.metrics,
             chunk_events=self.config.chunk_events,
             fault_plan=self.config.fault_plan,
         )
-        # Loop-dataplane fault state (the batched pipeline carries its
-        # own stages); counter names match the stage counters so either
-        # dataplane reports injected losses identically.
-        self._overflow: Optional["VectorOverflowModel"] = None
-        plan = self.config.fault_plan
-        if plan is not None and not plan.is_noop:
-            from repro.faults.plan import FaultKind
-            from repro.faults.stages import VectorOverflowModel
-
-            if plan.spec(FaultKind.FIFO_OVERFLOW) is not None:
-                self._overflow = VectorOverflowModel(plan)
-        self._m_fault_ev_dropped = self.metrics.counter(
-            "faults.events.dropped"
-        )
-        self._m_fault_ev_duplicated = self.metrics.counter(
-            "faults.events.duplicated"
-        )
-        self._m_fault_ev_corrupted = self.metrics.counter(
-            "faults.events.corrupted"
-        )
-        self._m_fault_vec_dropped = self.metrics.counter(
-            "faults.vectors.dropped"
+        self.loop = LoopDataplane(
+            self.mapper,
+            self.encoder,
+            self.mcm.push,
+            frontend=self.frontend,
+            igm_pipe_ns=self.config.igm_pipe_ns,
+            metrics=self.metrics,
+            fault_plan=self.config.fault_plan,
         )
         self._m_events = self.metrics.counter("soc.events")
         self._m_monitored_ids = self.metrics.counter("soc.monitored_ids")
         # Fig. 7 mirror, in simulated nanoseconds per delivered vector:
         # (1) read = PTM FIFO batching + trace-port drain, (2) the
-        # fixed IGM vectorize stage; (3) copy is mcm.copy_ns.
+        # fixed IGM vectorize stage (both observed by the dataplanes);
+        # (3) copy is mcm.copy_ns.
         self._m_read = self.metrics.histogram("pipeline.read_ns")
-        self._m_vectorize = self.metrics.histogram("pipeline.vectorize_ns")
         self._m_e2e = self.metrics.histogram("pipeline.e2e_ns")
         self._observed_records = 0
 
@@ -234,7 +218,7 @@ class RtadSoc:
                 if mode == "batched":
                     self.pipeline.run(events)
                 else:
-                    self._run_events_loop(events)
+                    self.loop.run(events)
             with self.metrics.trace("mcm.finalize"):
                 records = self.mcm.finalize()
             self._observe_records(records)
@@ -251,70 +235,11 @@ class RtadSoc:
         built SoC every step below is a no-op, so first runs are
         unaffected.
         """
-        self.host.begin_session()
-        self.host.ptm_fifo.reset()
+        self.loop.reset()
         self.pipeline.reset()
         self.encoder.reset(reset_sequence=True)
         self.mcm.driver.reset()
         self.mcm.reset_session()
-        if self._overflow is not None:
-            self._overflow.reset()
-
-    def _run_events_loop(self, events: Sequence[BranchEvent]) -> None:
-        """Per-event reference dataplane.
-
-        Kept verbatim as the behavioural oracle for the staged
-        pipeline (differential tests) and as the baseline the
-        throughput benchmark compares against.  Fault channels reuse
-        the batched stages' pure helpers, so both dataplanes inject
-        the identical pattern for one plan.
-        """
-        plan = self.config.fault_plan
-        if plan is not None and not plan.is_noop:
-            from repro.faults.stages import apply_event_faults
-
-            events, counts = apply_event_faults(events, plan)
-            if counts:
-                self._m_fault_ev_dropped.inc(counts.dropped)
-                self._m_fault_ev_duplicated.inc(counts.duplicated)
-                self._m_fault_ev_corrupted.inc(counts.corrupted)
-            if not len(events):
-                return
-        pending: List[InputVector] = []
-        for event in events:
-            time_ns = self.host.event_time_ns(event)
-            chunk = self.host.driver.trace(event)
-            index = self.mapper.lookup(event.target)
-            if index is not None:
-                vector = self.encoder.push(
-                    index=index, address=event.target, cycle=event.cycle
-                )
-                if vector is not None:
-                    pending.append(vector)
-            flushed = self.host.ptm_fifo.push(time_ns, len(chunk))
-            if flushed is not None:
-                self._deliver(pending, flushed)
-                pending = []
-        tail = self.host.driver.flush()
-        last_ns = self.host.event_time_ns(events[-1])
-        # The tail push may itself cross the threshold and drain the
-        # FIFO; keep that handle, or the explicit session-end flush
-        # sees an empty FIFO and the pending vectors are lost.
-        flushed = self.host.ptm_fifo.push(last_ns, len(tail))
-        if flushed is None:
-            flushed = self.host.ptm_fifo.flush(last_ns)
-        if flushed is not None:
-            self._deliver(pending, flushed)
-
-    def _deliver(self, vectors: List[InputVector], flush_ns: float) -> None:
-        for vector in vectors:
-            if self._overflow is not None and not self._overflow.admit():
-                self._m_fault_vec_dropped.inc()
-                continue
-            trigger_ns = CPU_CLOCK.to_ns(vector.trigger_cycle)
-            self._m_read.observe(max(0.0, flush_ns - trigger_ns))
-            self._m_vectorize.observe(self.config.igm_pipe_ns)
-            self.mcm.push(vector, flush_ns + self.config.igm_pipe_ns)
 
     def _observe_records(self, records: List[InferenceRecord]) -> None:
         """End-to-end latency per inference not yet observed.

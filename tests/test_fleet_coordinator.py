@@ -280,6 +280,8 @@ class TestCountersAndSurface:
         with _fleet(num_shards=2) as fleet:
             with pytest.raises(SocConfigError, match="nobody"):
                 fleet.run_events({"nobody": _traces(0)["tenant0"]})
+            with pytest.raises(SocConfigError, match="zz"):
+                fleet.run_events({1: [], "zz": []})
 
 
 class TestValidation:

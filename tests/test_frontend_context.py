@@ -126,8 +126,8 @@ def test_dataplanes_agree_across_a_context_change(name):
         # lifetime record log, covering both sessions.
         soc = build_demo_soc("lstm", seed=0, frontend=name)
         soc.run_events(events_a, dataplane=dataplane)
-        soc.host.end_session()
-        soc.host.driver.set_context_id(CONTEXT_B)
+        soc.loop.driver.disable()
+        soc.loop.driver.set_context_id(CONTEXT_B)
         records = soc.run_events(events_b, dataplane=dataplane)
         return [
             (r.sequence_number, r.score, bool(r.anomalous))

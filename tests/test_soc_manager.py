@@ -147,6 +147,8 @@ class TestManagerValidation:
         manager, _, _, _ = four_tenant_run
         with pytest.raises(SocConfigError):
             manager.run_events({"ghost": []})
+        with pytest.raises(SocConfigError, match="zz"):
+            manager.run_events({1: [], "zz": []})
         with pytest.raises(SocConfigError):
             manager.tenant("ghost")
 
