@@ -9,6 +9,11 @@ two copies drift.  :func:`save_result` is now the only writer: both
 copies come from the same serialized payload in the same call, and
 ``tests/test_bench_results_sync.py`` pins byte-equality for the
 checked-in files.
+
+Smoke documents (``"smoke": true``) are too small to stand for the
+recorded results, so they go only to the untracked
+``benchmarks/results/smoke/`` directory and never replace the
+committed copies.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ MIRRORED_RESULTS = (
 def save_result(name: str, result: dict) -> str:
     """Write one benchmark JSON to ``results/`` and its root mirror.
 
-    Returns the serialized payload.  ``name`` must be registered in
+    A smoke document is written to ``results/smoke/`` alone.  Returns
+    the serialized payload.  ``name`` must be registered in
     :data:`MIRRORED_RESULTS` so the drift test covers the new file.
     """
     if name not in MIRRORED_RESULTS:
@@ -42,6 +48,11 @@ def save_result(name: str, result: dict) -> str:
             "bench_io.MIRRORED_RESULTS so the drift test covers it"
         )
     payload = json.dumps(result, indent=2) + "\n"
+    if result.get("smoke"):
+        smoke_dir = RESULTS_DIR / "smoke"
+        smoke_dir.mkdir(parents=True, exist_ok=True)
+        (smoke_dir / name).write_text(payload)
+        return payload
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(payload)
     (REPO_ROOT / name).write_text(payload)

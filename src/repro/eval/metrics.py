@@ -469,18 +469,10 @@ def robustness_counters(snapshot: Dict[str, object]) -> Dict[str, int]:
     """Loss/recovery counters from one registry snapshot.
 
     Every canonical fault/recovery counter is present (0 when it never
-    fired), plus any per-port ``pipeline.port.*`` drop/stall counters
-    that exist in this snapshot — the dataplane's own backpressure and
-    loss accounting next to the injected-fault accounting.
+    fired).
     """
     counters: Dict[str, int] = snapshot.get("counters", {})  # type: ignore
-    out = {name: int(counters.get(name, 0)) for name in ROBUSTNESS_COUNTERS}
-    for name, value in sorted(counters.items()):
-        if name.startswith("pipeline.port.") and name.endswith(
-            (".drops", ".stalls")
-        ):
-            out[name] = int(value)
-    return out
+    return {name: int(counters.get(name, 0)) for name in ROBUSTNESS_COUNTERS}
 
 
 def perf_counters(snapshot: Dict[str, object]) -> Dict[str, int]:

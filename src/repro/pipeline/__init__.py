@@ -1,15 +1,14 @@
 """Staged dataplane: the batched trace-path pipeline.
 
 The per-event reference loop, :meth:`repro.soc.loop.LoopDataplane.run`,
-is re-expressed here as composable *stages* connected by bounded *ports*:
+is re-expressed here as a chain of composable *stages*:
 
 - :class:`~repro.pipeline.stage.Stage` — the protocol every stage
   implements (``process(batch) -> batch`` plus ``flush()``),
-- :class:`~repro.pipeline.port.Port` — a bounded ring buffer with
-  backpressure/overflow accounting (MCM FIFO semantics),
 - :class:`~repro.pipeline.pipeline.Pipeline` — the assembler that
-  wires stages with ports and threads ``repro.obs`` instruments
-  through every connection,
+  slices the event stream into chunks, runs each chunk straight
+  through the stages in order, and checks every chunk's integrity
+  tag at each stage boundary,
 - :mod:`~repro.pipeline.stages` — the concrete trace-path stages
   (PTM encode, TPIU framing, PTM-FIFO batching, IGM map+encode,
   delivery), rewritten to operate on numpy *batches* of events.
@@ -23,7 +22,6 @@ vectorized internals run an order of magnitude faster on long traces.
 
 from repro.pipeline.batch import EventBatch, FifoFlush, TraceBatch
 from repro.pipeline.pipeline import Pipeline, build_trace_pipeline
-from repro.pipeline.port import Port, PortPolicy
 from repro.pipeline.stage import Stage, StageBase
 from repro.pipeline.stages import (
     DeliverStage,
@@ -39,8 +37,6 @@ __all__ = [
     "FifoFlush",
     "IgmStage",
     "Pipeline",
-    "Port",
-    "PortPolicy",
     "PtmEncodeStage",
     "PtmFifoStage",
     "Stage",

@@ -1,13 +1,13 @@
-"""Pipeline assembler: stages wired with bounded ports.
+"""Pipeline assembler: an ordered chain of stages.
 
-The :class:`Pipeline` owns an ordered list of stages and one input
-:class:`~repro.pipeline.port.Port` per stage.  ``run`` slices the
-event stream into chunks, admits each chunk at the head port, and
-services stages *downstream-first* so a full port drains before its
-producer runs again — cooperative backpressure with nothing dropped.
-After the last chunk, a single tail batch walks the stage list in
-order, draining carried state exactly like the per-event loop's
-end-of-session flush.
+The :class:`Pipeline` owns an ordered list of stages.  ``run`` slices
+the event stream into chunks and passes each chunk straight through
+the stages in order, checking its integrity tag at every stage
+boundary.  After the last chunk, a single tail batch walks the stage
+list in order, draining carried state exactly like the per-event
+loop's end-of-session flush.  The only buffers on the path are the
+ones the hardware has: the PTM FIFO (:class:`PtmFifoStage`) and the
+MCM internal FIFO behind the sink.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import InputVector, VectorEncoder
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.pipeline.batch import EventBatch, TraceBatch
-from repro.pipeline.port import Port, PortPolicy
 from repro.pipeline.stage import Stage
 from repro.pipeline.stages import (
     DeliverStage,
@@ -38,16 +37,13 @@ DEFAULT_CHUNK_EVENTS = 32768
 
 
 class Pipeline:
-    """An ordered chain of stages connected by bounded ports."""
+    """An ordered chain of stages, run one chunk at a time."""
 
     def __init__(
         self,
         stages: Sequence[Stage],
         metrics: Optional[MetricsRegistry] = None,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        port_capacity: int = 4,
-        port_policy: PortPolicy = PortPolicy.STALL,
-        verify_integrity: bool = True,
     ) -> None:
         if not stages:
             raise SocConfigError("pipeline needs at least one stage")
@@ -56,16 +52,6 @@ class Pipeline:
         self.stages: List[Stage] = list(stages)
         self.metrics = metrics or NULL_REGISTRY
         self.chunk_events = chunk_events
-        self.verify_integrity = verify_integrity
-        self.ports: List[Port[TraceBatch]] = [
-            Port(
-                stage.name,
-                capacity=port_capacity,
-                policy=port_policy,
-                metrics=metrics,
-            )
-            for stage in self.stages
-        ]
         self._m_chunks = self.metrics.counter("pipeline.chunks")
         self._m_checks = self.metrics.counter("pipeline.integrity.checks")
         self._m_crc_bad = self.metrics.counter(
@@ -76,11 +62,9 @@ class Pipeline:
         self._last_seen: List[Optional[int]] = [None] * len(self.stages)
 
     def reset(self) -> None:
-        """New trace session: clear stage carry state and the ports."""
+        """New trace session: clear stage carry state."""
         for stage in self.stages:
             stage.reset()
-        for port in self.ports:
-            port.clear()
         self._chunk_sequence = 0
         self._last_seen = [None] * len(self.stages)
 
@@ -113,14 +97,9 @@ class Pipeline:
     def export_state(self) -> dict:
         """Stage carry state for checkpointing (see repro.durability).
 
-        Only a *quiescent* pipeline (no in-flight batches) can be
-        checkpointed — batches hold numpy arrays and closures that do
-        not serialize; round boundaries guarantee quiescence.
+        A pipeline holds no batch between ``run`` calls, so the stage
+        carry state and the chunk sequence are the whole of it.
         """
-        if any(not port.empty for port in self.ports):
-            raise SocConfigError(
-                "cannot checkpoint a pipeline with in-flight batches"
-            )
         return {
             "chunk_sequence": self._chunk_sequence,
             "stages": [stage.export_state() for stage in self.stages],
@@ -142,68 +121,29 @@ class Pipeline:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def _service(self) -> bool:
-        """One sweep over the stages, downstream first.
-
-        Draining consumers before producers means a STALL port that
-        refused a batch is guaranteed space the next time its producer
-        runs — backpressure without busy-waiting.
-        """
-        progress = False
-        for index in range(len(self.stages) - 1, -1, -1):
-            port = self.ports[index]
-            downstream = (
-                self.ports[index + 1]
-                if index + 1 < len(self.ports)
-                else None
-            )
-            while not port.empty:
-                if downstream is not None and downstream.full:
-                    break
-                batch = port.get()
-                assert batch is not None
-                if self.verify_integrity:
-                    self._check_integrity(batch, index)
-                stage = self.stages[index]
-                out = stage.process(batch)
-                if (
-                    getattr(stage, "mutates_events", False)
-                    and out.events is not None
-                    and out.chunk_crc is not None
-                ):
-                    # Legitimate event mutation (e.g. fault injection)
-                    # re-stamps the tag; silent corruptors do not.
-                    out.chunk_crc = out.events.integrity_crc()
-                if downstream is not None:
-                    downstream.put(out)
-                progress = True
-        return progress
-
     def run(self, events: Sequence[BranchEvent]) -> TraceBatch:
         """Push a whole event stream through, then drain the tail."""
         total = len(events)
         start = 0
-        head = self.ports[0]
         while start < total:
             chunk = events[start : start + self.chunk_events]
             batch = TraceBatch(events=EventBatch.from_events(chunk))
-            if self.verify_integrity:
-                batch.chunk_sequence = self._chunk_sequence
-                batch.chunk_crc = batch.events.integrity_crc()
+            batch.chunk_sequence = self._chunk_sequence
+            batch.chunk_crc = batch.events.integrity_crc()
             self._chunk_sequence += 1
             self._m_chunks.inc()
-            while not head.put(batch):
-                if not self._service():  # pragma: no cover - safety net
-                    raise SocConfigError(
-                        "pipeline stalled with no serviceable stage"
-                    )
+            for index, stage in enumerate(self.stages):
+                self._check_integrity(batch, index)
+                batch = stage.process(batch)
+                if (
+                    getattr(stage, "mutates_events", False)
+                    and batch.events is not None
+                    and batch.chunk_crc is not None
+                ):
+                    # Legitimate event mutation (e.g. fault injection)
+                    # re-stamps the tag; silent corruptors do not.
+                    batch.chunk_crc = batch.events.integrity_crc()
             start += len(chunk)
-            self._service()
-        while any(not port.empty for port in self.ports):
-            if not self._service():  # pragma: no cover - safety net
-                raise SocConfigError(
-                    "pipeline failed to drain queued batches"
-                )
         tail = TraceBatch.tail_marker()
         for stage in self.stages:
             tail = stage.process(tail)
@@ -218,9 +158,7 @@ def build_trace_pipeline(
     igm_pipe_ns: float = 24.0,
     metrics: Optional[MetricsRegistry] = None,
     chunk_events: int = DEFAULT_CHUNK_EVENTS,
-    port_capacity: int = 4,
     fault_plan: Optional["FaultPlan"] = None,
-    verify_integrity: bool = True,
     frontend: Optional["TraceFrontend"] = None,
 ) -> Pipeline:
     """Assemble the standard five-stage trace dataplane.
@@ -274,10 +212,4 @@ def build_trace_pipeline(
                 len(stages) - 1,
                 VectorFaultStage(fault_plan, metrics=metrics),
             )
-    return Pipeline(
-        stages,
-        metrics=metrics,
-        chunk_events=chunk_events,
-        port_capacity=port_capacity,
-        verify_integrity=verify_integrity,
-    )
+    return Pipeline(stages, metrics=metrics, chunk_events=chunk_events)

@@ -1,7 +1,7 @@
 """Concrete trace-path stages, batched.
 
 Each stage reproduces one segment of the per-event reference loop in
-:meth:`repro.soc.rtad.RtadSoc.run_events` — PTM packet encoding, TPIU
+:meth:`repro.soc.loop.LoopDataplane.run` — PTM packet encoding, TPIU
 framing, PTM-FIFO batching, address map + vector encode, and vector
 delivery — but operates on numpy arrays over whole chunks of events.
 

@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import FrameProtocolError, ServeError, SocConfigError
 from repro.frontends import TraceFrontend, frontend_names, get_frontend
 from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.pipeline.port import PortPolicy
 from repro.serve import protocol
 from repro.serve.admission import (
     AdmissionController,
@@ -95,9 +94,6 @@ class ServeConfig:
     deadline_us: Optional[float] = None
     #: Per-tenant rolling-window capacity, in batches.
     window_batches: int = 64
-    #: Full-window behaviour: STALL = client-visible backpressure,
-    #: DROP = freshness (the incoming batch is lost but counted).
-    window_policy: PortPolicy = PortPolicy.STALL
     #: Per-tenant sustained event-rate cap (None = unlimited).
     rate_limit_eps: Optional[float] = None
     rate_burst_events: int = 4096
@@ -311,10 +307,7 @@ class IngestServer:
     def _attach_tenant(self, name: str) -> None:
         config = self.config if hasattr(self, "config") else ServeConfig()
         self.windows[name] = TenantWindow(
-            name,
-            capacity_batches=config.window_batches,
-            policy=config.window_policy,
-            metrics=self.metrics,
+            name, capacity_batches=config.window_batches
         )
         self.breakers[name] = CircuitBreaker(config.breaker)
         if config.rate_limit_eps is not None:

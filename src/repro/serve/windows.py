@@ -1,15 +1,10 @@
 """Per-tenant rolling ingest windows.
 
 Admitted batches wait here between the socket front door and the
-drain loop.  The buffer is a :class:`repro.pipeline.port.Port`, so the
-two bounded-buffer policies are exactly the dataplane's:
-
-- ``STALL`` — a full window refuses the batch; the server turns the
-  stall into a client-visible SHED with a retry-after hint
-  (backpressure, nothing lost silently).
-- ``DROP`` — a full window loses the incoming batch (freshness over
-  completeness), with the loss visible in the port's drop counter and
-  the ``serve.shed.buffer_full`` counter.
+drain loop.  A window is a bounded deque: a full window refuses the
+incoming batch, and the server turns that refusal into a
+client-visible SHED ``buffer_full`` with a retry-after hint, counted
+in ``serve.shed.buffer_full`` (backpressure, nothing lost silently).
 
 Each batch carries its admission wall-clock time and its deadline, so
 the drain loop can shed work that went stale while queued.
@@ -17,11 +12,11 @@ the drain loop can shed work that went stale while queued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Tuple
 
-from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.pipeline.port import Port, PortPolicy
+from repro.errors import ServeError
 from repro.workloads.cfg import BranchEvent
 
 
@@ -43,29 +38,21 @@ class IngestBatch:
 class TenantWindow:
     """Bounded rolling window of one tenant's admitted batches."""
 
-    def __init__(
-        self,
-        tenant: str,
-        capacity_batches: int = 64,
-        policy: PortPolicy = PortPolicy.STALL,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        metrics = metrics or NULL_REGISTRY
+    def __init__(self, tenant: str, capacity_batches: int = 64) -> None:
+        if capacity_batches < 1:
+            raise ServeError(f"window {tenant!r} capacity must be >= 1")
         self.tenant = tenant
-        self.port: Port[IngestBatch] = Port(
-            f"serve.window.{tenant}",
-            capacity=capacity_batches,
-            policy=policy,
-            metrics=metrics,
-        )
+        self.capacity_batches = capacity_batches
+        self._batches: Deque[IngestBatch] = deque()
         self.queued_events = 0
 
     def offer(self, batch: IngestBatch) -> bool:
-        """Admit one batch; False on stall (STALL) or drop (DROP)."""
-        accepted = self.port.put(batch)
-        if accepted:
-            self.queued_events += len(batch.events)
-        return accepted
+        """Admit one batch; False when the window is full."""
+        if len(self._batches) >= self.capacity_batches:
+            return False
+        self._batches.append(batch)
+        self.queued_events += len(batch.events)
+        return True
 
     def take(
         self, max_events: int, now_ns: int
@@ -81,17 +68,16 @@ class TenantWindow:
         fresh: List[IngestBatch] = []
         stale: List[IngestBatch] = []
         taken_events = 0
-        while not self.port.empty:
-            batch = self.port.peek()
-            assert batch is not None
+        while self._batches:
+            batch = self._batches[0]
             if batch.stale(now_ns):
-                self.port.get()
+                self._batches.popleft()
                 self.queued_events -= len(batch.events)
                 stale.append(batch)
                 continue
             if fresh and taken_events + len(batch.events) > max_events:
                 break
-            self.port.get()
+            self._batches.popleft()
             self.queued_events -= len(batch.events)
             taken_events += len(batch.events)
             fresh.append(batch)
@@ -100,13 +86,12 @@ class TenantWindow:
     @property
     def oldest_admit_ns(self) -> Optional[int]:
         """Admission time of the head batch (None when empty)."""
-        batch = self.port.peek()
-        return None if batch is None else batch.admit_ns
+        return self._batches[0].admit_ns if self._batches else None
 
     @property
     def depth(self) -> int:
-        return self.port.depth
+        return len(self._batches)
 
     @property
     def empty(self) -> bool:
-        return self.port.empty
+        return not self._batches

@@ -75,6 +75,18 @@ def test_save_result_writes_both_homes(tmp_path, monkeypatch):
     assert json.loads(payload) == {"benchmark": "unit-test"}
 
 
+def test_smoke_result_leaves_committed_copies_alone(tmp_path, monkeypatch):
+    bench_io = _bench_io()
+    results_dir = tmp_path / "benchmarks" / "results"
+    monkeypatch.setattr(bench_io, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(bench_io, "RESULTS_DIR", results_dir)
+    name = MIRRORED[0]
+    payload = bench_io.save_result(name, {"smoke": True})
+    assert not (tmp_path / name).exists()
+    assert not (results_dir / name).exists()
+    assert (results_dir / "smoke" / name).read_text() == payload
+
+
 def test_save_result_rejects_unregistered_names():
     bench_io = _bench_io()
     with pytest.raises(ValueError):

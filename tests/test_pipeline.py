@@ -23,8 +23,6 @@ from repro.pipeline import (
     FifoFlush,
     IgmStage,
     Pipeline,
-    Port,
-    PortPolicy,
     PtmEncodeStage,
     PtmFifoStage,
     Stage,
@@ -84,60 +82,6 @@ def random_chunks(rng: np.random.Generator, items, max_chunk: int = 97):
         out.append(items[start : start + size])
         start += size
     return out
-
-
-# ----------------------------------------------------------------------
-# Ports
-# ----------------------------------------------------------------------
-
-
-class TestPort:
-    def test_fifo_order(self):
-        port = Port("p", capacity=3)
-        for item in ("a", "b", "c"):
-            assert port.put(item)
-        assert [port.get(), port.get(), port.get()] == ["a", "b", "c"]
-        assert port.get() is None
-        assert port.empty
-
-    def test_stall_policy_backpressure(self):
-        port = Port("p", capacity=2, policy=PortPolicy.STALL)
-        assert port.put(1) and port.put(2)
-        assert port.full
-        assert not port.put(3)          # refused, not lost
-        assert port.stalls == 1
-        assert port.drops == 0
-        assert port.get() == 1          # nothing was dropped
-        assert port.put(3)              # space again after a get
-        assert [port.get(), port.get()] == [2, 3]
-
-    def test_drop_policy_loses_newest(self):
-        port = Port("p", capacity=2, policy=PortPolicy.DROP)
-        assert port.put(1) and port.put(2)
-        assert not port.put(3)
-        assert port.drops == 1
-        assert port.stalls == 0
-        assert [port.get(), port.get()] == [1, 2]
-
-    def test_clear(self):
-        port = Port("p", capacity=4)
-        port.put(1)
-        port.put(2)
-        port.clear()
-        assert port.empty and port.depth == 0
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(SocConfigError):
-            Port("p", capacity=0)
-
-    def test_metrics_threaded(self):
-        registry = MetricsRegistry()
-        port = Port("x", capacity=1, metrics=registry)
-        port.put(1)
-        port.put(2)
-        counters = registry.snapshot()["counters"]
-        assert counters["pipeline.port.x.batches_in"] == 1
-        assert counters["pipeline.port.x.stalls"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -509,20 +453,16 @@ class TestPipeline:
         return delivered
 
     def test_chunking_and_port_capacity_invariant(self):
+        """Chunk size is invisible in what the sink receives."""
         rng = np.random.default_rng(23)
         events = random_events(rng, 2000, atom_rate=0.2)
         baseline = self._run(events, chunk_events=100000)
-        for chunk_events, port_capacity in ((7, 1), (64, 1), (256, 4)):
-            got = self._run(
-                events,
-                chunk_events=chunk_events,
-                port_capacity=port_capacity,
-            )
-            assert got == baseline, (
-                f"chunk={chunk_events} capacity={port_capacity}"
-            )
+        for chunk_events in (7, 64, 256):
+            got = self._run(events, chunk_events=chunk_events)
+            assert got == baseline, f"chunk={chunk_events}"
 
     def test_backpressure_counted_with_tiny_ports(self):
+        """Every chunk, then the tail batch, crosses every stage."""
         rng = np.random.default_rng(29)
         events = random_events(rng, 1200, atom_rate=0.2)
         registry = MetricsRegistry()
@@ -531,17 +471,13 @@ class TestPipeline:
         encoder = VectorEncoder(window=1, vocabulary_size=mapper.size + 1)
         pipeline = build_trace_pipeline(
             mapper, encoder, lambda v, t: None,
-            metrics=registry, chunk_events=16, port_capacity=1,
+            metrics=registry, chunk_events=16,
         )
         pipeline.run(events)
         counters = registry.snapshot()["counters"]
-        assert counters["pipeline.chunks"] == (1200 + 15) // 16
-        # every admitted chunk flowed through every stage port
+        assert counters["pipeline.chunks"] == (1200 + 15) // 16 == 75
         for name in ("ptm", "tpiu", "ptm_fifo", "igm", "deliver"):
-            assert counters[f"pipeline.port.{name}.batches_in"] >= 75
-        # nothing may ever be dropped on the STALL trace path
-        for name in ("ptm", "tpiu", "ptm_fifo", "igm", "deliver"):
-            assert counters.get(f"pipeline.port.{name}.drops", 0) == 0
+            assert counters[f"pipeline.stage.{name}.batches"] == 76
 
     def test_reset_gives_fresh_session(self):
         rng = np.random.default_rng(31)

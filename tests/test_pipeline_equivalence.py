@@ -13,7 +13,21 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.metrics import build_demo_soc, demo_events
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.obs import MetricsRegistry
+
+#: Event- and vector-level faults whose decisions are keyed by absolute
+#: index, so chunk boundaries must not move them.  CHUNK_CORRUPT is
+#: left out: it fires per chunk by design.
+MULTI_CHUNK_FAULTS = FaultPlan(
+    seed=5,
+    specs=(
+        FaultSpec(FaultKind.EVENT_DROP, rate=0.02),
+        FaultSpec(FaultKind.EVENT_DUP, rate=0.02),
+        FaultSpec(FaultKind.EVENT_CORRUPT, rate=0.02),
+        FaultSpec(FaultKind.FIFO_OVERFLOW, rate=0.1, burst=2),
+    ),
+)
 
 
 def record_key(record):
@@ -29,9 +43,15 @@ def record_key(record):
     )
 
 
-def run_one(kind: str, events, dataplane: str, chunk_events: int = 32768):
+def run_one(
+    kind: str,
+    events,
+    dataplane: str,
+    chunk_events: int = 32768,
+    fault_plan=None,
+):
     registry = MetricsRegistry()
-    soc = build_demo_soc(kind, metrics=registry)
+    soc = build_demo_soc(kind, metrics=registry, fault_plan=fault_plan)
     soc.pipeline.chunk_events = chunk_events
     records = soc.run_events(events, dataplane=dataplane)
     interrupts = [
@@ -40,11 +60,10 @@ def run_one(kind: str, events, dataplane: str, chunk_events: int = 32768):
     counters = {
         name: value
         for name, value in registry.snapshot()["counters"].items()
-        # pipeline.port/stage/deliver/chunk/integrity bookkeeping
-        # exists only on the batched path; every shared counter must
-        # agree exactly.
-        if not name.startswith("pipeline.port.")
-        and not name.startswith("pipeline.stage.")
+        # pipeline.stage/deliver/chunk/integrity bookkeeping exists
+        # only on the batched path; every shared counter must agree
+        # exactly.
+        if not name.startswith("pipeline.stage.")
         and not name.startswith("pipeline.deliver.")
         and not name.startswith("pipeline.integrity.")
         and name != "pipeline.chunks"
@@ -66,12 +85,36 @@ def test_batched_matches_loop(kind, count):
     assert bat_counters == loop_counters
 
 
-@pytest.mark.parametrize("chunk_events", [1, 17, 997, 100_000])
-def test_chunk_size_is_invisible(chunk_events):
+CHUNK_SIZES = (1, 17, 997, 100_000)
+
+
+@pytest.mark.parametrize(
+    "chunk_events,fault_plan",
+    [pytest.param(size, None, id=str(size)) for size in CHUNK_SIZES]
+    + [
+        pytest.param(size, MULTI_CHUNK_FAULTS, id=f"faults-{size}")
+        for size in CHUNK_SIZES
+    ],
+)
+def test_chunk_size_is_invisible(chunk_events, fault_plan):
     events = demo_events("lstm", 0, 6_000)
-    baseline, _, _ = run_one("lstm", events, "loop")
-    got, _, _ = run_one("lstm", events, "batched", chunk_events=chunk_events)
+    baseline, _, base_counters = run_one(
+        "lstm", events, "loop", fault_plan=fault_plan
+    )
+    got, _, counters = run_one(
+        "lstm",
+        events,
+        "batched",
+        chunk_events=chunk_events,
+        fault_plan=fault_plan,
+    )
     assert [record_key(r) for r in got] == [record_key(r) for r in baseline]
+    faults = {k: v for k, v in counters.items() if k.startswith("faults.")}
+    assert faults == {
+        k: v for k, v in base_counters.items() if k.startswith("faults.")
+    }
+    if fault_plan is not None:
+        assert faults["faults.vectors.dropped"] > 0
 
 
 def test_dataplane_override_validated():

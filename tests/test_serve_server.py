@@ -12,7 +12,13 @@ import pytest
 from repro.errors import ServeError
 from repro.eval.metrics import build_demo_manager, demo_events
 from repro.frontends import get_frontend
-from repro.serve import IngestServer, ServeClient, ServeConfig
+from repro.serve import (
+    IngestBatch,
+    IngestServer,
+    ServeClient,
+    ServeConfig,
+    TenantWindow,
+)
 from repro.serve import protocol
 
 
@@ -151,6 +157,27 @@ class TestSessions:
 
         response = asyncio.run(scenario())
         assert response["frame_type"] == protocol.FrameType.ERR
+
+
+class TestTenantWindow:
+    def test_full_window_refuses_without_losing_queued_batches(self):
+        window = TenantWindow("t", capacity_batches=2)
+        batches = [
+            IngestBatch("t", tuple(_events(5, seed=i)), admit_ns=i)
+            for i in range(3)
+        ]
+        assert window.offer(batches[0]) and window.offer(batches[1])
+        assert not window.offer(batches[2])
+        assert window.depth == 2 and window.queued_events == 10
+        assert window.oldest_admit_ns == 0
+        fresh, stale = window.take(max_events=100, now_ns=0)
+        assert fresh == batches[:2] and stale == []
+        assert window.empty and window.queued_events == 0
+        assert window.offer(batches[2])
+
+    def test_capacity_below_one_rejected(self):
+        with pytest.raises(ServeError):
+            TenantWindow("t", capacity_batches=0)
 
 
 class TestOverloadControls:
